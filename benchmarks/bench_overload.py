@@ -72,9 +72,7 @@ def _measure(graphs: list[Hypergraph], k: int, max_pending: int | None) -> dict:
             if max_pending is not None
             else None
         )
-        scheduler = BatchScheduler(
-            engine, window=0.005, max_wave=4, admission=admission
-        )
+        scheduler = BatchScheduler(engine, max_wave=4, admission=admission)
 
         async def one(graph: Hypergraph) -> tuple[str, float]:
             start = time.perf_counter()

@@ -7,10 +7,10 @@ instances" produces — and measures what the scheduler's three dedup layers
 buy over dispatching every request individually:
 
 * **coalesced** — the production configuration: a fresh store, duplicate
-  coalescing on, a batching window.  The burst costs one engine dispatch
-  per *distinct* (hypergraph, k) plus scheduler overhead.
-* **naive** — the pre-service baseline: no store, no coalescing, window 0.
-  Every request reaches the engine and executes.
+  coalescing on.  The burst costs one engine dispatch per *distinct*
+  (hypergraph, k) plus scheduler overhead.
+* **naive** — the pre-service baseline: no store, no coalescing.  Every
+  request reaches the engine and executes.
 
 Both modes run the same burst (``--requests`` total, ``--unique`` distinct
 instances, each duplicated ``requests / unique`` times) through the same
@@ -69,10 +69,10 @@ def _measure(mode: str, graphs: list[Hypergraph], requests: int, k: int) -> dict
     async def body() -> tuple[float, list[dict], dict, dict]:
         if mode == "coalesced":
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.01, coalesce=True)
+            scheduler = BatchScheduler(engine, coalesce=True)
         else:
             engine = DecompositionEngine(store=None)
-            scheduler = BatchScheduler(engine, window=0.0, coalesce=False)
+            scheduler = BatchScheduler(engine, coalesce=False)
         start = time.perf_counter()
         results = await _run_burst(scheduler, graphs, requests, k)
         elapsed = time.perf_counter() - start

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,12 +46,16 @@ def overload_burst(host: str, port: int, burst: int) -> int:
     """Fire ``burst`` distinct concurrent checks; assert no 5xx escapes."""
 
     def distinct(tag: int) -> Hypergraph:
-        # A (tag+3)-cycle plus a pendant edge: every request has a unique
-        # fingerprint, so coalescing cannot absorb the burst — admission
-        # control has to do the refusing.
-        n = 3 + tag
-        edges = {f"c{i}": [f"x{i}", f"x{(i + 1) % n}"] for i in range(n)}
-        edges["pendant"] = ["x0", f"p{tag}"]
+        # K8 plus a pendant edge tagged with this process and the request
+        # number: every request (of every burst) has a unique fingerprint,
+        # so neither coalescing nor the store can absorb the burst —
+        # admission control has to do the refusing.  Check(K8, 3) is a "no"
+        # that searches for about 0.15 s, so a burst keeps the engine busy
+        # long enough to fill the pending budget.
+        edges = {
+            f"e{i}_{j}": [f"x{i}", f"x{j}"] for i in range(8) for j in range(i + 1, 8)
+        }
+        edges["pendant"] = ["x0", f"p{os.getpid()}_{tag}"]
         return Hypergraph(edges, name=f"burst{tag}")
 
     statuses: collections.Counter[int] = collections.Counter()
@@ -58,7 +63,7 @@ def overload_burst(host: str, port: int, burst: int) -> int:
     def ask(tag: int) -> None:
         with ServiceClient(host=host, port=port, timeout=120.0) as client:
             try:
-                result = client.check(distinct(tag), 2, tenant=f"t{tag % 4}")
+                result = client.check(distinct(tag), 3, tenant=f"t{tag % 4}")
             except ServiceError as exc:
                 statuses[exc.status] += 1
                 if exc.status in (429, 503):

@@ -210,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="listening port (0 picks a free one and prints it)",
     )
     serve.add_argument(
-        "--window", type=float, default=0.02, metavar="SECONDS",
-        help="batching window: how long a wave waits for concurrent requests",
-    )
-    serve.add_argument(
         "--max-wave", type=int, default=32, metavar="N",
         help="maximum jobs per run_batch wave",
     )
@@ -739,7 +735,6 @@ def _cmd_serve(args) -> int:
                 host=args.host,
                 port=args.port,
                 jobs=args.jobs,
-                window=args.window,
                 max_wave=args.max_wave,
                 slow_request_seconds=slow,
                 trace_journal=journal,

@@ -43,6 +43,7 @@ from repro.core.decomposition import Decomposition, DecompositionNode
 from repro.core.hypergraph import Hypergraph
 from repro.core.subedges import DEFAULT_SUBEDGE_BUDGET, mask_subedge_entries
 from repro.errors import ValidationError
+from repro.perf import counters
 from repro.utils.deadline import Deadline
 
 __all__ = ["BalSep", "check_ghd_balsep"]
@@ -233,6 +234,7 @@ class BalSep:
         limit = total / 2
 
         def balanced(bag: int) -> bool:
+            counters.balance_checks += 1
             return all(
                 members.bit_count() <= limit
                 for members, _ in mask_components_from(entries, bag)

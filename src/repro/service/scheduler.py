@@ -16,8 +16,11 @@ of deduplication apply, in order:
    budget).  If an identical job is already *in flight* — queued or mid-wave
    — the new request simply awaits the same future: N concurrent identical
    requests cost exactly one dispatch.
-3. **Batch waves.**  Novel jobs queue for a short ``window`` (letting a
-   burst accumulate), then up to ``max_wave`` of them run as one
+3. **Batch waves.**  Novel jobs dispatch as soon as the engine is idle:
+   with no wave in flight, a new job goes out on the next loop turn; jobs
+   that arrive while a wave runs queue behind it and, the moment it lands,
+   up to ``max_wave`` of them form the next wave.  Batch size thus follows
+   load, with no timer ("natural batching").  Each wave is one
    :meth:`DecompositionEngine.run_batch` on a worker thread — so a parallel
    engine fans the whole wave across its process pool, and the event loop
    stays free to accept (and coalesce) more traffic meanwhile.
@@ -191,13 +194,10 @@ class BatchScheduler:
         The shared :class:`DecompositionEngine`.  The scheduler owns its
         dispatch cadence but not its lifetime — call :meth:`close` with
         ``close_engine=True`` to tear both down together.
-    window:
-        Seconds a wave waits after the first novel job arrives, letting a
-        burst of concurrent requests accumulate into one ``run_batch``.
-        ``0.0`` dispatches immediately (per-request batches).
     max_wave:
-        Maximum jobs per ``run_batch`` wave; excess jobs roll into the next
-        wave without waiting another window.
+        Maximum jobs per ``run_batch`` wave.  Waves go out whenever the
+        engine is idle, so this caps how many queued jobs one wave carries;
+        excess jobs form the next wave with no pause.
     coalesce:
         ``False`` disables duplicate coalescing (every request becomes its
         own flight) — kept for the ``benchmarks/bench_service.py`` baseline,
@@ -223,7 +223,6 @@ Rejected` instead of queueing.  ``None`` admits everything (the
     def __init__(
         self,
         engine: DecompositionEngine,
-        window: float = 0.02,
         max_wave: int = 32,
         coalesce: bool = True,
         dispatcher=None,
@@ -231,7 +230,6 @@ Rejected` instead of queueing.  ``None`` admits everything (the
         breaker: CircuitBreaker | None = None,
     ):
         self.engine = engine
-        self.window = max(0.0, float(window))
         self.max_wave = max(1, int(max_wave))
         self.coalesce = coalesce
         self.dispatcher = dispatcher
@@ -487,7 +485,6 @@ Rejected` instead of queueing.  ``None`` admits everything (the
         Returns ``{"in_flight": n, "drained": d, "stragglers": s}``.
         """
         self._draining = True
-        self._wake.set()  # flush pending waves without waiting for a window
         waiting = [f.future for f in list(self._inflight) if not f.future.done()]
         if not waiting:
             return {"in_flight": 0, "drained": 0, "stragglers": 0}
@@ -568,10 +565,8 @@ Rejected` instead of queueing.  ``None`` admits everything (the
             self._wake.clear()
             if self._closed:
                 return
-            if not self._pending:
-                continue
-            if self.window > 0.0 and not self._draining:
-                await asyncio.sleep(self.window)  # let the burst accumulate
+            # Dispatch when idle: whatever queued behind the previous wave
+            # (or the lone job that woke an idle loop) goes out now.
             wave = self._form_wave()
             if self._pending:
                 self._wake.set()  # next wave starts without a fresh trigger

@@ -2,8 +2,9 @@
 
 One long-lived server process owns one :class:`DecompositionEngine` and one
 :class:`ResultStore`, so every client shares the warm cache and the
-scheduler's coalescing window — the HyperBench "service over a precomputed
-result store" shape, grown onto four PRs of engine work.
+scheduler's coalesced waves — the HyperBench "service over a precomputed
+result store" shape.  A wave dispatches as soon as the engine is idle; the
+requests that arrive while it runs form the next one.
 
 Endpoints (all responses are JSON):
 
@@ -558,7 +559,6 @@ class ServiceThread:
         engine: DecompositionEngine,
         host: str = "127.0.0.1",
         port: int = 0,
-        window: float = 0.02,
         max_wave: int = 32,
         close_engine: bool = True,
         slow_request_seconds: float | None = 1.0,
@@ -583,20 +583,20 @@ class ServiceThread:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._error: BaseException | None = None
         self._thread = threading.Thread(
-            target=self._main, args=(host, port, window, max_wave), daemon=True
+            target=self._main, args=(host, port, max_wave), daemon=True
         )
         self._thread.start()
         self._ready.wait()
         if self._error is not None:
             raise self._error
 
-    def _main(self, host: str, port: int, window: float, max_wave: int) -> None:
+    def _main(self, host: str, port: int, max_wave: int) -> None:
         async def body() -> None:
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
             try:
                 self.scheduler = BatchScheduler(
-                    self.engine, window=window, max_wave=max_wave,
+                    self.engine, max_wave=max_wave,
                     admission=self._admission, breaker=self._breaker,
                 )
                 self.server = DecompositionServer(
@@ -657,7 +657,6 @@ async def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     jobs: int = 1,
-    window: float = 0.02,
     max_wave: int = 32,
     slow_request_seconds: float | None = 1.0,
     trace_journal: str | None = None,
@@ -725,7 +724,7 @@ async def serve(
                 failure_threshold=breaker_failures, reset_seconds=breaker_reset
             )
         scheduler = BatchScheduler(
-            engine, window=window, max_wave=max_wave, dispatcher=dispatcher,
+            engine, max_wave=max_wave, dispatcher=dispatcher,
             admission=admission, breaker=breaker,
         )
         server = DecompositionServer(

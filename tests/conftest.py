@@ -5,6 +5,7 @@ controllable clock for lease expiry, worker subprocesses, and a
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 import signal
@@ -68,6 +69,19 @@ def clique_hypergraph(n: int) -> Hypergraph:
     return Hypergraph(edges, name=f"K{n}")
 
 
+def grid_hypergraph(rows: int, cols: int) -> Hypergraph:
+    """The rows x cols grid of binary edges: hw = 2 only for thin grids, so
+    ``Check(grid(7, 7), 2)`` is a "no" whose search takes about a second."""
+    edges = {}
+    for i in range(rows):
+        for j in range(cols):
+            if i + 1 < rows:
+                edges[f"v{i}_{j}"] = [f"x{i}_{j}", f"x{i + 1}_{j}"]
+            if j + 1 < cols:
+                edges[f"h{i}_{j}"] = [f"x{i}_{j}", f"x{i}_{j + 1}"]
+    return Hypergraph(edges, name=f"grid{rows}x{cols}")
+
+
 @pytest.fixture
 def cycle4() -> Hypergraph:
     return cycle_hypergraph(4)
@@ -104,6 +118,16 @@ def random_hypergraph(
         arity = rng.randint(1, min(max_arity, num_vertices))
         edges[f"e{j}"] = rng.sample(pool, arity)
     return Hypergraph(edges, name=f"rand{seed}").dedupe()
+
+
+async def until_wave_in_flight(scheduler) -> None:
+    """Yield until a batch scheduler has a wave running and nothing queued —
+    the point from which new submissions queue behind that wave."""
+    while True:
+        snapshot = scheduler.stats_snapshot()
+        if snapshot["in_flight"] and not snapshot["queued"]:
+            return
+        await asyncio.sleep(0)
 
 
 # --------------------------------------------------- fault-injection harness

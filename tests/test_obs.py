@@ -21,6 +21,7 @@ from repro.core.hypergraph import Hypergraph
 from repro.engine import DecompositionEngine, JobSpec, ResultStore
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -30,7 +31,7 @@ from repro.obs.trace import TRACER, NULL_SPAN, Tracer, load_journal, make_span
 from repro.perf import counters
 from repro.service import ServiceClient, ServiceThread
 from repro.service.client import ServiceError
-from tests.conftest import clique_hypergraph
+from tests.conftest import clique_hypergraph, cycle_hypergraph
 
 
 def _triangle() -> Hypergraph:
@@ -318,6 +319,20 @@ class TestWorkerPropagation:
         assert {"engine.check", "worker.exec"} <= set(by_name)
         assert by_name["worker.exec"]["attrs"]["mode"] == "inproc"
         assert by_name["worker.exec"]["attrs"]["kernel_components_calls"] > 0
+
+    def test_balsep_balance_tests_move_the_counter(self):
+        """BalSep's balance tests are counted: a balsep check on a small
+        cyclic hypergraph moves ``repro_kernel_balance_checks_total``."""
+        metric = REGISTRY.counter("repro_kernel_balance_checks_total")
+        before = metric.value()
+        engine = DecompositionEngine(store=ResultStore(), jobs=1)
+        try:
+            outcome = engine.check(cycle_hypergraph(6), 2, method="balsep")
+        finally:
+            engine.close()
+        assert outcome.verdict == "yes"
+        assert outcome.counters["balance_checks"] > 0
+        assert metric.value() - before == outcome.counters["balance_checks"]
 
 
 # ----------------------------------------------------------- HTTP surfaces

@@ -37,7 +37,13 @@ from repro.service import (
 from repro.service.client import ServiceError
 from repro.service.overload import CLOSED, HALF_OPEN, OPEN, PRIORITIES
 from repro.service.scheduler import EXPIRED, REJECTED
-from tests.conftest import REPO_ROOT, FakeClock, cycle_hypergraph
+from tests.conftest import (
+    REPO_ROOT,
+    FakeClock,
+    cycle_hypergraph,
+    grid_hypergraph,
+    until_wave_in_flight,
+)
 
 
 def _triangle() -> Hypergraph:
@@ -53,6 +59,18 @@ def _ovl_sleepy(hypergraph, k, deadline):
 
 
 register_method("ovl_sleepy", _ovl_sleepy)
+
+#: Opened by a test to release every ``ovl_wedged`` check.
+_UNWEDGE = threading.Event()
+
+
+def _ovl_wedged(hypergraph, k, deadline):
+    """A backend that hangs until released, then fails its whole wave."""
+    _UNWEDGE.wait(30.0)
+    raise RuntimeError("backend wedged")
+
+
+register_method("ovl_wedged", _ovl_wedged)
 
 
 # --------------------------------------------------------------- token bucket
@@ -194,8 +212,7 @@ class TestSchedulerOverload:
         async def main():
             engine = DecompositionEngine(store=ResultStore())
             scheduler = BatchScheduler(
-                engine, window=0.1,
-                admission=AdmissionController(max_pending=4),
+                engine, admission=AdmissionController(max_pending=4),
             )
 
             async def ask(i):
@@ -228,8 +245,7 @@ class TestSchedulerOverload:
         async def main():
             engine = DecompositionEngine(store=ResultStore())
             scheduler = BatchScheduler(
-                engine, window=0.05,
-                admission=AdmissionController(max_pending=1),
+                engine, admission=AdmissionController(max_pending=1),
             )
             h = _triangle()
             first = await asyncio.gather(*(scheduler.check(h, 2) for _ in range(8)))
@@ -253,7 +269,7 @@ class TestSchedulerOverload:
     def test_expired_on_arrival_never_registers_a_flight(self):
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.0)
+            scheduler = BatchScheduler(engine)
             payload = await scheduler.check(_triangle(), 2, deadline=0.0)
             stats = scheduler.stats
             engine_stats = engine.stats
@@ -270,12 +286,15 @@ class TestSchedulerOverload:
 
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.3)
-            payload = await scheduler.check(
-                _triangle(), 2, method="ovl_sleepy", deadline=0.05
+            scheduler = BatchScheduler(engine)
+            blocker = asyncio.ensure_future(
+                scheduler.check(cycle_hypergraph(4), 2, method="ovl_sleepy")
             )
-            # Let the wave form (and shed) after the waiter gave up.
-            await asyncio.sleep(0.4)
+            await until_wave_in_flight(scheduler)
+            # Queued behind the sleepy wave, the waiter gives up first.
+            payload = await scheduler.check(_triangle(), 2, deadline=0.05)
+            # The sleepy wave lands; the next wave forms (and sheds).
+            await blocker
             stats = scheduler.stats
             engine_stats = engine.stats
             await scheduler.close(close_engine=True)
@@ -284,7 +303,9 @@ class TestSchedulerOverload:
         payload, stats, engine_stats = asyncio.run(main())
         assert payload["verdict"] == EXPIRED
         assert stats.shed == 1
-        assert engine_stats.executed == 0
+        # Only the sleepy blocker reached the engine.
+        assert engine_stats.executed == 1
+        assert stats.waves == 1 and stats.wave_jobs == 1
 
     def test_breaker_opens_on_wave_failures_then_recovers(self):
         """closed → open under a failing engine → half-open probe → closed,
@@ -296,7 +317,7 @@ class TestSchedulerOverload:
 
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.0, breaker=breaker)
+            scheduler = BatchScheduler(engine, breaker=breaker)
             # Two waves that raise inside run_batch (unknown method).
             for i in range(2):
                 bad = await scheduler.check(
@@ -329,25 +350,37 @@ class TestSchedulerOverload:
 
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.2, breaker=breaker)
-            task = asyncio.ensure_future(scheduler.check(_triangle(), 2))
-            await asyncio.sleep(0.05)  # admitted, wave not yet formed
-            breaker.record_failure()   # the circuit opens underneath it
+            scheduler = BatchScheduler(engine, breaker=breaker)
+            _UNWEDGE.clear()
+            try:
+                wedged = asyncio.ensure_future(
+                    scheduler.check(cycle_hypergraph(4), 2, method="ovl_wedged")
+                )
+                await until_wave_in_flight(scheduler)
+                task = asyncio.ensure_future(scheduler.check(_triangle(), 2))
+                await asyncio.sleep(0)  # admitted, queued behind the wedge
+            finally:
+                # The wedged wave fails: the circuit opens underneath the
+                # queued flight.
+                _UNWEDGE.set()
+            failed = await wedged
             payload = await task
             stats = scheduler.stats
             engine_stats = engine.stats
             await scheduler.close(close_engine=True)
-            return payload, stats, engine_stats
+            return failed, payload, stats, engine_stats
 
-        payload, stats, engine_stats = asyncio.run(main())
+        failed, payload, stats, engine_stats = asyncio.run(main())
+        assert failed["verdict"] == "error" and breaker.state == OPEN
         assert payload["verdict"] == REJECTED
         assert payload["reason"] == "breaker"
-        assert stats.shed == 1 and engine_stats.executed == 0
+        # Only the wedged wave reached the engine.
+        assert stats.shed == 1 and engine_stats.executed == 1
 
     def test_drain_refuses_new_work_and_reports_counts(self):
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.0)
+            scheduler = BatchScheduler(engine)
             task = asyncio.ensure_future(
                 scheduler.check(_triangle(), 2, method="ovl_sleepy")
             )
@@ -367,7 +400,7 @@ class TestSchedulerOverload:
     def test_drain_budget_reports_stragglers(self):
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.0)
+            scheduler = BatchScheduler(engine)
             task = asyncio.ensure_future(
                 scheduler.check(_triangle(), 2, method="ovl_sleepy")
             )
@@ -391,7 +424,7 @@ class TestHttpOverload:
         Retry-After."""
         engine = DecompositionEngine(store=ResultStore())
         admission = AdmissionController(max_pending=2, retry_after_hint=1.5)
-        with ServiceThread(engine, window=0.1, admission=admission) as service:
+        with ServiceThread(engine, admission=admission) as service:
             statuses: list[int] = []
             retry_afters: list[float | None] = []
 
@@ -421,7 +454,7 @@ class TestHttpOverload:
     def test_tenant_rate_limit_maps_to_429(self):
         engine = DecompositionEngine(store=ResultStore())
         admission = AdmissionController(tenant_rate=0.001, tenant_burst=1.0)
-        with ServiceThread(engine, window=0.0, admission=admission) as service:
+        with ServiceThread(engine, admission=admission) as service:
             with ServiceClient(port=service.port) as client:
                 first = client.check(_triangle(), 2, tenant="alice")
                 assert first["verdict"] == "yes"
@@ -437,7 +470,7 @@ class TestHttpOverload:
     def test_open_breaker_maps_to_503_and_degraded_healthz(self):
         engine = DecompositionEngine(store=ResultStore())
         breaker = CircuitBreaker(failure_threshold=1, reset_seconds=60.0)
-        with ServiceThread(engine, window=0.0, breaker=breaker) as service:
+        with ServiceThread(engine, breaker=breaker) as service:
             with ServiceClient(port=service.port) as client:
                 assert client.healthz()["status"] == "ok"
                 breaker.record_failure()  # wedge the backend by fiat
@@ -455,7 +488,7 @@ class TestHttpOverload:
     def test_unknown_method_is_400_and_does_not_trip_breaker(self):
         engine = DecompositionEngine(store=ResultStore())
         breaker = CircuitBreaker(failure_threshold=1, reset_seconds=60.0)
-        with ServiceThread(engine, window=0.0, breaker=breaker) as service:
+        with ServiceThread(engine, breaker=breaker) as service:
             with ServiceClient(port=service.port) as client:
                 with pytest.raises(ServiceError) as excinfo:
                     client.check(_triangle(), 2, method="no-such-method")
@@ -488,7 +521,7 @@ class TestHttpOverload:
     def test_service_thread_stop_reports_wedged_thread(self):
         """A join that times out raises instead of silently leaking."""
         engine = DecompositionEngine(store=ResultStore())
-        service = ServiceThread(engine, window=0.0)
+        service = ServiceThread(engine)
         started = threading.Event()
 
         def slow_request():
@@ -510,7 +543,7 @@ class TestHttpOverload:
         """Requests in flight when stop() begins still get 200s — the
         listener closes but live connections drain."""
         engine = DecompositionEngine(store=ResultStore())
-        service = ServiceThread(engine, window=0.0)
+        service = ServiceThread(engine)
         results: list[dict] = []
         started = threading.Event()
 
@@ -612,8 +645,7 @@ class TestGracefulDrain:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--cache", str(cache),
-                "--window", "0.5", "--drain-seconds", "10",
+                "--port", "0", "--cache", str(cache), "--drain-seconds", "10",
             ],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True,
@@ -626,12 +658,20 @@ class TestGracefulDrain:
             results: list[dict] = []
 
             def ask():
+                # A "no" whose search takes about a second: still running
+                # when the signal arrives.
                 with ServiceClient(port=port, timeout=30.0) as client:
-                    results.append(client.check(cycle_hypergraph(6), 2))
+                    results.append(client.check(grid_hypergraph(7, 7), 2))
 
             t = threading.Thread(target=ask)
             t.start()
-            time.sleep(0.2)  # request accepted, wave still in its window
+            with ServiceClient(port=port) as client:
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    stats = client.stats()
+                    if stats["service"]["requests"] and stats["in_flight"]:
+                        break  # the wave is running
+                    time.sleep(0.005)
             proc.send_signal(signal.SIGTERM)
             t.join(timeout=30)
             assert proc.wait(timeout=30) == 0
@@ -641,8 +681,9 @@ class TestGracefulDrain:
                 proc.wait(timeout=10)
         output = proc.stdout.read()
         assert "draining" in output
+        assert "drained 1/1 in-flight waves" in output, output
         # The in-flight client was answered, not dropped.
-        assert results and results[0]["verdict"] == "yes"
+        assert results and results[0]["verdict"] == "no"
         # ... and the drained wave's verdict landed in the store.
         store = ResultStore(cache)
         try:

@@ -10,7 +10,9 @@ the store itself.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
+import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -19,12 +21,20 @@ import pytest
 
 from repro.core.hypergraph import Hypergraph
 from repro.decomp.driver import CheckOutcome
-from repro.engine import DecompositionEngine, JobSpec, ResultStore, fingerprint, register_method
+from repro.engine import (
+    DecompositionEngine,
+    JobSpec,
+    ResultStore,
+    fingerprint,
+    register_method,
+    resolve_method,
+)
 from repro.io.json_io import decomposition_from_json
 from repro.service import BatchScheduler, ServiceClient, ServiceThread
 from repro.service.client import ServiceError
 from repro.service.scheduler import EXPIRED
-from tests.conftest import cycle_hypergraph, random_hypergraph
+from repro.service.server import serve
+from tests.conftest import cycle_hypergraph, random_hypergraph, until_wave_in_flight
 
 
 def _triangle() -> Hypergraph:
@@ -41,6 +51,60 @@ def _sleepy(hypergraph, k, deadline):
 
 register_method("svc_sleepy", _sleepy)
 
+#: Opened by a test to release every ``svc_gated`` check.  A process-shared
+#: event, so it also reaches checks running in forked engine workers.
+_GATE = multiprocessing.Event()
+
+
+def _gated(hypergraph, k, deadline):
+    """The ``hd`` check, held until the test opens :data:`_GATE`: the wave
+    that carries it stays in flight for as long as the test needs."""
+    _GATE.wait(30.0)
+    return resolve_method("hd")(hypergraph, k, deadline)
+
+
+register_method("svc_gated", _gated)
+
+
+def _record_timers(loop: asyncio.AbstractEventLoop) -> list:
+    """Record every timer callback armed on ``loop`` from now on.
+
+    ``call_later`` and ``asyncio.sleep``/``wait_for`` timeouts all go
+    through ``call_at``, so an empty list means nothing waited on a clock.
+    """
+    timers: list = []
+    call_at = loop.call_at
+
+    def recording_call_at(when, callback, *args, **kwargs):
+        timers.append(callback)
+        return call_at(when, callback, *args, **kwargs)
+
+    loop.call_at = recording_call_at
+    return timers
+
+
+def _record_waves(engine: DecompositionEngine) -> list[int]:
+    """Record the size of every wave ``engine.run_batch`` receives."""
+    sizes: list[int] = []
+    run_batch = engine.run_batch
+
+    def recording_run_batch(specs, *args, **kwargs):
+        sizes.append(len(specs))
+        return run_batch(specs, *args, **kwargs)
+
+    engine.run_batch = recording_run_batch
+    return sizes
+
+
+def _poll_stats(client: ServiceClient, ready, timeout: float = 10.0) -> dict:
+    """Poll ``/stats`` until ``ready(stats)`` holds (or ``timeout`` passes)."""
+    stop = time.monotonic() + timeout
+    while True:
+        stats = client.stats()
+        if ready(stats) or time.monotonic() > stop:
+            return stats
+        time.sleep(0.005)
+
 
 # ------------------------------------------------------------- the scheduler
 
@@ -52,7 +116,7 @@ class TestScheduler:
 
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.05)
+            scheduler = BatchScheduler(engine)
             results = await asyncio.gather(
                 *(scheduler.check(_triangle(), 2) for _ in range(10))
             )
@@ -69,7 +133,7 @@ class TestScheduler:
     def test_store_fast_path_answers_implied_without_wave(self):
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.01)
+            scheduler = BatchScheduler(engine)
             h = _triangle()
             first = await scheduler.check(h, 2)
             implied = await scheduler.check(h, 5)  # yes at 2 ⇒ yes at 5
@@ -87,7 +151,7 @@ class TestScheduler:
     def test_mixed_kinds_share_one_wave(self):
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.1)
+            scheduler = BatchScheduler(engine)
             h, cycle = _triangle(), cycle_hypergraph(5)
             results = await asyncio.gather(
                 scheduler.check(h, 1),
@@ -107,7 +171,7 @@ class TestScheduler:
     def test_deadline_expiry_keeps_flight_alive(self):
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.0)
+            scheduler = BatchScheduler(engine)
             h = _triangle()
             expired = await scheduler.check(h, 2, method="svc_sleepy", deadline=0.05)
             # The flight survives its impatient waiter: once the wave lands,
@@ -126,7 +190,7 @@ class TestScheduler:
     def test_decomposition_rides_along_and_validates(self):
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.0)
+            scheduler = BatchScheduler(engine)
             payload = await scheduler.check(_triangle(), 2)
             await scheduler.close(close_engine=True)
             return payload
@@ -141,7 +205,7 @@ class TestScheduler:
     def test_wave_failure_reports_error_not_hang(self):
         async def main():
             engine = DecompositionEngine(store=ResultStore())
-            scheduler = BatchScheduler(engine, window=0.0)
+            scheduler = BatchScheduler(engine)
             payload = await scheduler.check(_triangle(), 2, method="no-such-method")
             await scheduler.close(close_engine=True)
             return payload, scheduler.stats
@@ -156,7 +220,7 @@ class TestScheduler:
 
         async def main():
             engine = DecompositionEngine(store=None)
-            scheduler = BatchScheduler(engine, window=0.05, coalesce=False)
+            scheduler = BatchScheduler(engine, coalesce=False)
             await asyncio.gather(*(scheduler.check(_triangle(), 2) for _ in range(4)))
             await scheduler.close(close_engine=True)
             return engine.stats, scheduler.stats
@@ -164,6 +228,65 @@ class TestScheduler:
         engine_stats, service_stats = asyncio.run(main())
         assert engine_stats.executed == 4
         assert service_stats.coalesced == 0
+
+    @pytest.mark.parametrize(
+        "max_wave, sizes", [(32, [1, 5]), (2, [1, 2, 2, 1])]
+    )
+    def test_arrivals_during_a_wave_form_the_next_wave(self, max_wave, sizes):
+        """Natural batching: distinct jobs that arrive while a held wave
+        runs go out together the moment it lands, split into back-to-back
+        waves of at most ``max_wave`` — no timer anywhere on the way."""
+        queued = 5
+
+        async def main():
+            timers = _record_timers(asyncio.get_running_loop())
+            engine = DecompositionEngine(store=ResultStore())
+            waves = _record_waves(engine)
+            scheduler = BatchScheduler(engine, max_wave=max_wave)
+            _GATE.clear()
+            try:
+                blocker = asyncio.ensure_future(
+                    scheduler.check(_triangle(), 2, method="svc_gated")
+                )
+                await until_wave_in_flight(scheduler)
+                followers = [
+                    asyncio.ensure_future(scheduler.check(cycle_hypergraph(4 + i), 2))
+                    for i in range(queued)
+                ]
+                await asyncio.sleep(0)  # every follower registers its flight
+                assert scheduler.stats_snapshot()["queued"] == queued
+            finally:
+                _GATE.set()
+            results = await asyncio.gather(blocker, *followers)
+            await scheduler.close(close_engine=True)
+            return scheduler.stats, results, waves, timers
+
+        service_stats, results, waves, timers = asyncio.run(main())
+        assert {r["verdict"] for r in results} == {"yes"}
+        assert waves == sizes
+        assert service_stats.waves == len(sizes)
+        assert service_stats.wave_jobs == 1 + queued
+        assert timers == []
+
+    def test_lone_request_dispatches_without_a_timer(self):
+        """An idle scheduler hands a lone request straight to ``run_batch``:
+        no timer is armed on the way, and no knob exists to arm one."""
+
+        async def main():
+            timers = _record_timers(asyncio.get_running_loop())
+            engine = DecompositionEngine(store=ResultStore())
+            waves = _record_waves(engine)
+            scheduler = BatchScheduler(engine)
+            payload = await scheduler.check(_triangle(), 2)
+            await scheduler.close(close_engine=True)
+            return payload, waves, timers
+
+        payload, waves, timers = asyncio.run(main())
+        assert payload["verdict"] == "yes" and payload["source"] == "engine"
+        assert waves == [1]
+        assert timers == []
+        for entry_point in (BatchScheduler, ServiceThread, serve):
+            assert "window" not in inspect.signature(entry_point).parameters
 
 
 # ------------------------------------------------------------ HTTP transport
@@ -271,18 +394,25 @@ class TestServer:
                 assert client.healthz()["status"] == "ok"
 
     def test_concurrent_clients_coalesce_on_one_engine(self):
-        """Eight clients on eight threads ask the same question inside one
-        batching window; the shared engine dispatches exactly once."""
+        """Eight clients on eight threads ask the same question while its
+        wave is held in flight; the shared engine dispatches exactly once."""
+        _GATE.clear()
         engine = DecompositionEngine(store=ResultStore())
         h = cycle_hypergraph(6)
-        with ServiceThread(engine, window=0.25) as service:
+        with ServiceThread(engine) as service:
 
             def ask(_):
                 with ServiceClient(port=service.port) as client:
-                    return client.check(h, 2)
+                    return client.check(h, 2, method="svc_gated")
 
             with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(ask, range(8)))
+                try:
+                    futures = [pool.submit(ask, i) for i in range(8)]
+                    with ServiceClient(port=service.port) as client:
+                        _poll_stats(client, lambda s: s["service"]["requests"] == 8)
+                finally:
+                    _GATE.set()
+                results = [future.result() for future in futures]
 
             assert {r["verdict"] for r in results} == {"yes"}
             assert engine.stats.executed == 1
@@ -318,21 +448,43 @@ class TestServer:
         assert stats["service"]["dispatched"] == 0
 
     def test_parallel_engine_behind_service(self):
-        """A jobs>1 engine fans a wave of distinct requests across workers."""
+        """A jobs>1 engine fans a wave of distinct requests across workers:
+        they queue behind a held wave and go out together when it lands."""
+        _GATE.clear()
         engine = DecompositionEngine(store=ResultStore(), jobs=2)
         graphs = [random_hypergraph(seed) for seed in range(4)]
-        with ServiceThread(engine, window=0.2) as service:
+        with ServiceThread(engine) as service:
 
-            def ask(h):
+            def ask(h, method="hd"):
                 with ServiceClient(port=service.port) as client:
-                    return client.check(h, 2, timeout=30.0)
+                    return client.check(h, 2, method=method, timeout=30.0)
 
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(ask, graphs))
+            with ThreadPoolExecutor(max_workers=len(graphs) + 1) as pool:
+                try:
+                    blocker = pool.submit(ask, _triangle(), "svc_gated")
+                    with ServiceClient(port=service.port) as client:
+                        _poll_stats(
+                            client, lambda s: s["in_flight"] and not s["queued"]
+                        )
+                        futures = [pool.submit(ask, h) for h in graphs]
+                        _poll_stats(
+                            client,
+                            lambda s: s["service"]["requests"] == len(graphs) + 1,
+                        )
+                finally:
+                    _GATE.set()
+                results = [future.result() for future in futures]
+                blocker.result()
+            with ServiceClient(port=service.port) as client:
+                stats = client.stats()["service"]
         assert all(r["verdict"] in ("yes", "no") for r in results)
+        # The held wave, then one wave carrying every queued request.
+        assert stats["waves"] == 2
         # One dispatch per distinct fingerprint at most (coalescing and the
-        # store may dedupe further if any two random graphs coincide).
-        assert 1 <= engine.stats.executed <= len({fingerprint(h) for h in graphs})
+        # store may dedupe further if any two random graphs coincide); the
+        # held wave's job is the one extra execution.
+        executed = engine.stats.executed - 1
+        assert 1 <= executed <= len({fingerprint(h) for h in graphs})
 
 
 # ---------------------------------------------------- store concurrency bits
