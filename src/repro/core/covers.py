@@ -8,7 +8,8 @@ the covering LP
 
 solved here with :func:`scipy.optimize.linprog` (HiGHS).  ``ImproveHD`` and
 ``FracImproveHD`` (Section 6.5) call this once per bag; the width of an FHD is
-the maximum bag weight.
+the maximum bag weight.  :func:`fractional_cover_bounds` brackets ``ρ*(X)``
+without an LP, which is enough when only the side of a threshold matters.
 
 Integral covers (the λ-labels of HDs/GHDs) are handled by a small greedy +
 exact search used by validators and by the relational engine's cost model.
@@ -29,6 +30,7 @@ from repro.perf import counters
 __all__ = [
     "FractionalCover",
     "fractional_cover",
+    "fractional_cover_bounds",
     "fractional_cover_number",
     "covered_vertices",
     "is_integral_cover",
@@ -70,6 +72,13 @@ def covered_vertices(
     return frozenset(v for v, t in totals.items() if t >= 1.0 - tolerance)
 
 
+def _infeasible(uncoverable: frozenset[str]) -> HypergraphError:
+    return HypergraphError(
+        f"vertices {sorted(uncoverable)} occur in no allowed edge; "
+        "the covering LP is infeasible"
+    )
+
+
 def fractional_cover(
     family: EdgeFamily,
     bag: Iterable[str],
@@ -103,10 +112,7 @@ def fractional_cover(
     uncoverable = bag_set - frozenset().union(*(family[n] for n in candidates)) \
         if candidates else bag_set
     if uncoverable:
-        raise HypergraphError(
-            f"vertices {sorted(uncoverable)} occur in no allowed edge; "
-            "the covering LP is infeasible"
-        )
+        raise _infeasible(uncoverable)
 
     vertex_index = {v: i for i, v in enumerate(sorted(bag_set))}
     n_vars = len(candidates)
@@ -124,9 +130,68 @@ def fractional_cover(
         bounds=[(0, None)] * n_vars,
         method="highs",
     )
+    counters.cover_lps += 1
     if not result.success:  # pragma: no cover - guarded by feasibility check
         raise HypergraphError(f"covering LP failed: {result.message}")
     return FractionalCover(dict(zip(candidates, result.x)))
+
+
+def fractional_cover_bounds(
+    family: EdgeFamily, bag: Iterable[str]
+) -> tuple[float, float]:
+    """Bounds ``(lo, hi)`` with ``lo ≤ ρ*(bag) ≤ hi``, found without an LP.
+
+    ``hi`` is the size of a greedy integral cover of the bag: an integral
+    cover is a feasible solution of the covering LP, so ``ρ* ≤ hi``.
+
+    ``lo`` comes from the dual LP, the fractional vertex packing
+
+        maximise   Σ_v y(v)
+        subject to Σ_{v ∈ e ∩ bag} y(v) ≤ 1   for every edge e,  y ≥ 0,
+
+    whose every feasible value is ``≤ ρ*`` by weak duality.  Two packings
+    are feasible: ``y ≡ 1 / maxₑ |e ∩ bag|``, worth ``|bag| / maxₑ |e ∩ bag|``,
+    and ``y = 1`` on a greedy set of bag vertices no two of which share an
+    edge.  ``lo`` is the larger of the two.
+
+    Raises :class:`~repro.errors.HypergraphError` if some bag vertex occurs
+    in no edge (the LP is infeasible).
+
+    >>> triangle = {"r": frozenset("xy"), "s": frozenset("yz"), "t": frozenset("zx")}
+    >>> fractional_cover_bounds(triangle, "xyz")
+    (1.5, 2.0)
+    """
+    bag_set = frozenset(bag)
+    if not bag_set:
+        return 0.0, 0.0
+    # Distinct non-empty edge traces on the bag, in family order, so the
+    # greedy choices below do not depend on string hashing.
+    traces = list(dict.fromkeys(
+        trace for trace in (e & bag_set for e in family.values()) if trace
+    ))
+    uncoverable = bag_set.difference(*traces)
+    if uncoverable:
+        raise _infeasible(uncoverable)
+
+    greedy_cover = 0
+    uncovered = bag_set
+    while uncovered:
+        uncovered = uncovered - max(traces, key=lambda t: len(t & uncovered))
+        greedy_cover += 1
+
+    neighbours = {v: frozenset() for v in bag_set}
+    for trace in traces:
+        for v in trace:
+            neighbours[v] |= trace
+    packing = 0
+    blocked: frozenset[str] = frozenset()
+    for v in sorted(bag_set, key=lambda v: (len(neighbours[v]), v)):
+        if v not in blocked:
+            packing += 1
+            blocked |= neighbours[v]
+
+    lo = max(len(bag_set) / max(map(len, traces)), float(packing))
+    return lo, float(greedy_cover)
 
 
 def fractional_cover_number(family: EdgeFamily, bag: Iterable[str]) -> float:

@@ -13,12 +13,18 @@ Two algorithms trade computational cost against quality:
   :func:`best_fractional_improvement` then minimises k′ by bisection.
 
 The search reuses :class:`~repro.decomp.detkdecomp.DetKDecomp` with a bag
-filter; LP results are memoised per bag since the search revisits bags.
+filter.  The filter needs only the side of k′ on which a bag's fractional
+cover number falls, not the number itself, so it decides from LP-free duality
+bounds first (:func:`~repro.core.covers.fractional_cover_bounds`): a greedy
+integral cover of weight ≤ k′ accepts, a vertex packing worth more than k′
+rejects.  Only bags whose bounds straddle k′ cost a covering LP.  Bounds and
+LP optima are memoised per bag, since the search revisits bags and the
+bisection re-asks them at new thresholds.
 """
 
 from __future__ import annotations
 
-from repro.core.covers import fractional_cover
+from repro.core.covers import fractional_cover, fractional_cover_bounds
 from repro.core.decomposition import Decomposition, DecompositionNode
 from repro.core.hypergraph import Hypergraph
 from repro.decomp.detkdecomp import DetKDecomp
@@ -64,11 +70,12 @@ def improve_hd(decomposition: Decomposition) -> Decomposition:
 
 
 class _BagWeightCache:
-    """Memoised fractional cover numbers, shared across search probes."""
+    """Memoised fractional cover numbers and bounds, shared across probes."""
 
     def __init__(self, hypergraph: Hypergraph):
         self._family = hypergraph.edges
         self._cache: dict[frozenset[str], float] = {}
+        self._bounds: dict[frozenset[str], tuple[float, float]] = {}
 
     def weight(self, bag: frozenset[str]) -> float:
         cached = self._cache.get(bag)
@@ -76,6 +83,27 @@ class _BagWeightCache:
             cached = fractional_cover(self._family, bag).weight
             self._cache[bag] = cached
         return cached
+
+    def admits(self, bag: frozenset[str], k_prime: float) -> bool:
+        """Whether ``ρ*(bag) ≤ k_prime`` (up to :data:`FRACTIONAL_TOLERANCE`).
+
+        Same answer as comparing :meth:`weight` against the threshold, but
+        the LP runs only when the cheap bounds straddle it.
+        """
+        limit = k_prime + FRACTIONAL_TOLERANCE
+        weight = self._cache.get(bag)
+        if weight is None:
+            bounds = self._bounds.get(bag)
+            if bounds is None:
+                bounds = fractional_cover_bounds(self._family, bag)
+                self._bounds[bag] = bounds
+            lo, hi = bounds
+            if hi <= limit:
+                return True
+            if lo > limit:
+                return False
+            weight = self.weight(bag)
+        return weight <= limit
 
 
 def check_frac_improved(
@@ -97,7 +125,7 @@ def check_frac_improved(
     cache = cache or _BagWeightCache(hypergraph)
 
     def bag_ok(bag: frozenset[str]) -> bool:
-        return cache.weight(bag) <= k_prime + FRACTIONAL_TOLERANCE
+        return cache.admits(bag, k_prime)
 
     hd = DetKDecomp(
         hypergraph, k, deadline=deadline, bag_filter=bag_ok

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -114,6 +115,20 @@ def _method_label(method: str | CheckFunction) -> str:
     return method if isinstance(method, str) else getattr(method, "__name__", "callable")
 
 
+def _reset_inherited_signals() -> None:
+    """Undo signal state a forked worker inherits from an asyncio parent.
+
+    ``loop.add_signal_handler`` (``repro serve``) installs a no-op Python
+    handler for SIGTERM/SIGINT and points the C-level wakeup fd at the
+    loop's self-pipe.  A worker keeping both would ignore the ``terminate()``
+    that :func:`_reap` sends, and would write the signal into the *parent's*
+    self-pipe — which the parent's loop reads as its own SIGTERM and drains.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def _child_check(
     conn: Connection,
     method: str | CheckFunction,
@@ -140,6 +155,7 @@ def _child_check(
     its own: the parent's ring, journal handle and registry are inherited
     fork-state it must not double-write.)
     """
+    _reset_inherited_signals()
     try:
         try:
             packed = isinstance(payload, PackedHypergraph)
@@ -513,6 +529,7 @@ class CallFailure:
 
 def _child_call(conn: Connection, fn: Callable, args: tuple) -> None:
     """Worker entry point for :func:`map_callables`: report value or error."""
+    _reset_inherited_signals()
     try:
         try:
             result = fn(*args)

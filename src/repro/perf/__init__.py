@@ -3,7 +3,7 @@
 The bitset kernel (:mod:`repro.core.bitset`) and the frozenset reference
 implementations both report how often the hot primitives run — the
 [U]-component computation, the cover/separator enumeration, the subedge
-closure, and the balancedness check — through the module-level
+closure, the balancedness check and the covering LP — through the module-level
 :data:`counters` singleton.  The microbench harness
 (:mod:`repro.perf.harness`) resets the counters around each timed case and
 stores the deltas next to the wall time in ``BENCH_kernel.json``, so a perf
@@ -27,6 +27,7 @@ _FIELDS = (
     "cover_enumerations",
     "subedge_closures",
     "balance_checks",
+    "cover_lps",
 )
 
 
@@ -43,6 +44,7 @@ class KernelCounters:
         self.cover_enumerations = 0
         self.subedge_closures = 0
         self.balance_checks = 0
+        self.cover_lps = 0
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in _FIELDS}

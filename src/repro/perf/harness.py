@@ -11,7 +11,8 @@ For ``detkdecomp`` and ``balsep`` the same case also runs on the frozen
 reference kernel (:mod:`repro.decomp.reference`) and the report records the
 speedup; ``localbip`` / ``globalbip`` / ``hybrid`` are timed on the bitset
 kernel only, with their verdicts cross-checked against the reference
-``balsep`` answer for the same ``(H, k)``.
+``balsep`` answer for the same ``(H, k)`` (``fracimprove`` against the
+reference ``detkdecomp`` answer).
 
 Output is ``BENCH_kernel.json``::
 
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 from repro.core.hypergraph import Hypergraph
 from repro.decomp.balsep import check_ghd_balsep
 from repro.decomp.detkdecomp import check_hd
+from repro.decomp.fractional import check_frac_best
 from repro.decomp.globalbip import check_ghd_global_bip
 from repro.decomp.hybrid import check_ghd_hybrid
 from repro.decomp.localbip import check_ghd_local_bip
@@ -75,6 +77,7 @@ BITSET_METHODS: dict[str, Callable] = {
     "localbip": check_ghd_local_bip,
     "globalbip": check_ghd_global_bip,
     "hybrid": check_ghd_hybrid,
+    "fracimprove": check_frac_best,
 }
 
 REFERENCE_METHODS: dict[str, Callable] = {
@@ -83,13 +86,15 @@ REFERENCE_METHODS: dict[str, Callable] = {
 }
 
 #: Reference oracle per method for verdict cross-checks (a GHD method must
-#: agree with the reference GHD answer; detkdecomp with the reference HD).
+#: agree with the reference GHD answer; detkdecomp with the reference HD, and
+#: so must fracimprove, which says "yes" exactly when Check(HD, k) does).
 ORACLE_METHOD = {
     "detkdecomp": "detkdecomp",
     "balsep": "balsep",
     "localbip": "balsep",
     "globalbip": "balsep",
     "hybrid": "balsep",
+    "fracimprove": "detkdecomp",
 }
 
 
@@ -174,6 +179,11 @@ def default_workload(quick: bool = False) -> list[BenchCase]:
         BenchCase("grid4x4", "globalbip", 2, lambda: _grid(4, 4)),
         BenchCase("K6", "hybrid", 2, lambda: _clique(6)),
         BenchCase("csp_s3", "hybrid", 2, lambda: _random_csp(3, 14, 22, 3)),
+        # --- FracImproveHD (Table 6): the bag-filtered search plus bisection;
+        #     its verdict is cross-checked against the reference HD answer.
+        BenchCase("K6", "fracimprove", 3, lambda: _clique(6)),
+        BenchCase("cycle24", "fracimprove", 2, lambda: _cycle(24)),
+        BenchCase("grid4x4", "fracimprove", 3, lambda: _grid(4, 4), quick=False),
     ]
     if quick:
         cases = [c for c in cases if c.quick]

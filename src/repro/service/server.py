@@ -305,7 +305,10 @@ class DecompositionServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # Teardown may cancel the task again while it closes (a
+                # client hung up just as the loop shut down); the same
+                # spurious traceback as above would follow.
                 pass
 
     async def _read_request(

@@ -7,11 +7,15 @@ cross-checks of the engine-backed paths against the in-process drivers.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import json
+import signal
 
 import pytest
 
 from repro.cli import main
+from repro.core.bitset import PackedHypergraph
 from repro.core.hypergraph import Hypergraph
 from repro.decomp.driver import NO, TIMEOUT, YES, CheckOutcome, exact_width, ghd_portfolio
 from repro.decomp.detkdecomp import check_hd
@@ -28,6 +32,7 @@ from repro.engine import (
     run_checked,
     structural_fingerprint,
 )
+from repro.engine import workers
 from repro.benchmark.build import build_default_benchmark
 from repro.io.json_io import decomposition_from_json, decomposition_to_json
 from tests.conftest import cycle_hypergraph, random_hypergraph
@@ -42,6 +47,13 @@ def _spin_forever(hypergraph, k, deadline):
 def _crash(hypergraph, k, deadline):
     """A check function whose worker dies without reporting."""
     raise SystemExit(17)
+
+
+def _ready_then_spin(ready, *args):
+    """Report that the worker is running, then ignore every deadline."""
+    ready.set()
+    while True:
+        pass
 
 
 register_method("spin", _spin_forever)
@@ -232,6 +244,44 @@ class TestWorkers:
         assert winner is None
         assert results["spin"].verdict == TIMEOUT
         assert not results["spin"].cancelled  # ran its full budget
+
+    @pytest.mark.parametrize("entry", ["check", "call"])
+    def test_terminate_ends_worker_forked_under_asyncio_signal_handler(
+        self, triangle, entry
+    ):
+        """A worker forked by a process whose event loop handles SIGTERM
+        (``repro serve``) must still die on ``terminate()``."""
+
+        async def main() -> int | None:
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, lambda: None)
+            ready = workers._CTX.Event()
+            spin = functools.partial(_ready_then_spin, ready)
+            if entry == "check":
+                process, conn = workers._spawn(
+                    spin, PackedHypergraph.pack(triangle), 2, None
+                )
+            else:
+                conn, child_conn = workers._CTX.Pipe(duplex=False)
+                process = workers._CTX.Process(
+                    target=workers._child_call, args=(child_conn, spin, ()),
+                    daemon=True,
+                )
+                process.start()
+                child_conn.close()
+            try:
+                assert ready.wait(30)
+                process.terminate()
+                process.join(5)
+                return process.exitcode
+            finally:
+                if process.is_alive():
+                    process.kill()
+                process.join()
+                conn.close()
+                loop.remove_signal_handler(signal.SIGTERM)
+
+        assert asyncio.run(main()) == -signal.SIGTERM
 
     def test_map_checks_preserves_order(self, triangle, path3):
         tasks = [

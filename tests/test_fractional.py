@@ -2,14 +2,31 @@
 
 import pytest
 
+from repro.core.covers import fractional_cover_bounds
 from repro.core.hypergraph import Hypergraph
+from repro.decomp import fractional
 from repro.decomp.detkdecomp import check_hd
 from repro.decomp.fractional import (
+    FRACTIONAL_TOLERANCE,
+    _BagWeightCache,
     best_fractional_improvement,
+    check_frac_best,
     check_frac_improved,
     improve_hd,
 )
+from repro.engine import DecompositionEngine, ResultStore
+from repro.errors import HypergraphError
+from repro.obs.metrics import REGISTRY
+from repro.perf import counters
+from repro.perf.harness import _clique, _cycle, _random_csp
 from tests.conftest import clique_hypergraph, cycle_hypergraph
+
+
+class _LPOnlyCache(_BagWeightCache):
+    """The bag filter without bounds: every decision solves the LP."""
+
+    def admits(self, bag, k_prime):
+        return self.weight(bag) <= k_prime + FRACTIONAL_TOLERANCE
 
 
 class TestImproveHD:
@@ -81,3 +98,52 @@ class TestFracImproveHD:
         best = best_fractional_improvement(k5, 3, precision=0.1)
         assert best is not None
         best.validate("FHD")
+
+
+class TestBoundsFirstFilter:
+    def test_triangle_bounds(self, triangle):
+        assert fractional_cover_bounds(triangle.edges, triangle.vertices) == (1.5, 2.0)
+        assert fractional_cover_bounds(triangle.edges, ()) == (0.0, 0.0)
+        with pytest.raises(HypergraphError, match="infeasible"):
+            fractional_cover_bounds(triangle.edges, {"x", "nowhere"})
+
+    @pytest.mark.parametrize(
+        "hypergraph, k",
+        [
+            (_clique(5), 3),
+            (_clique(6), 3),
+            (_cycle(24), 2),
+            (_random_csp(3, 14, 22, 3), 2),
+        ],
+        ids=["K5-k3", "K6-k3", "cycle24-k2", "csp_s3-k2"],
+    )
+    def test_same_fhd_as_lp_only_filter(self, monkeypatch, hypergraph, k):
+        bounded = best_fractional_improvement(hypergraph, k)
+        monkeypatch.setattr(fractional, "_BagWeightCache", _LPOnlyCache)
+        lp_only = best_fractional_improvement(hypergraph, k)
+        if lp_only is None:
+            assert bounded is None
+        else:
+            assert bounded.to_dict() == lp_only.to_dict()
+            assert bounded.width == lp_only.width
+
+    def test_k6_solves_fewer_lps_than_lp_only_filter(self, monkeypatch):
+        """``fracimprove`` on K6 at k=3 moves ``cover_lps`` (and its metric),
+        but less than the same search with a filter that solves every
+        bag's LP."""
+        metric = REGISTRY.counter("repro_kernel_cover_lps_total")
+        before = metric.value()
+        engine = DecompositionEngine(store=ResultStore(), jobs=1)
+        try:
+            outcome = engine.check(_clique(6), 3, method="fracimprove")
+        finally:
+            engine.close()
+        assert outcome.verdict == "yes"
+        solved = outcome.counters["cover_lps"]
+        assert solved > 0
+        assert metric.value() - before == solved
+
+        monkeypatch.setattr(fractional, "_BagWeightCache", _LPOnlyCache)
+        counters.reset()
+        assert check_frac_best(_clique(6), 3) is not None
+        assert solved < counters.cover_lps

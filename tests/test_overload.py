@@ -29,6 +29,7 @@ from repro.service import (
     AdmissionController,
     BatchScheduler,
     CircuitBreaker,
+    DecompositionServer,
     Rejected,
     ServiceClient,
     ServiceThread,
@@ -40,6 +41,7 @@ from repro.service.scheduler import EXPIRED, REJECTED
 from tests.conftest import (
     REPO_ROOT,
     FakeClock,
+    clique_hypergraph,
     cycle_hypergraph,
     grid_hypergraph,
     until_wave_in_flight,
@@ -633,28 +635,29 @@ class TestClientBackoff:
 # ----------------------------------------------------- SIGTERM drain, for real
 
 
+def _serve_process(*args: str) -> tuple[subprocess.Popen, int]:
+    """Start ``repro serve --port 0 ARGS`` and return it with its port.
+
+    stdout and stderr share one pipe; read it once the process has exited.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    banner = proc.stdout.readline()
+    assert "repro service on http://" in banner, banner
+    return proc, int(banner.split("http://127.0.0.1:")[1].split()[0].rstrip("/"))
+
+
 class TestGracefulDrain:
     def test_sigterm_drains_inflight_waves_into_store(self, tmp_path):
         """A real ``repro serve`` process, SIGTERMed with a wave in flight:
         exits 0, answers the in-flight request, persists its verdict."""
         cache = tmp_path / "drain.db"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--cache", str(cache), "--drain-seconds", "10",
-            ],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True,
-        )
+        proc, port = _serve_process("--cache", str(cache), "--drain-seconds", "10")
         try:
-            banner = proc.stdout.readline()
-            assert "repro service on http://" in banner, banner
-            port = int(banner.split("http://127.0.0.1:")[1].split()[0].rstrip("/"))
-
             results: list[dict] = []
 
             def ask():
@@ -679,7 +682,8 @@ class TestGracefulDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-        output = proc.stdout.read()
+        with proc.stdout:
+            output = proc.stdout.read()
         assert "draining" in output
         assert "drained 1/1 in-flight waves" in output, output
         # The in-flight client was answered, not dropped.
@@ -690,3 +694,86 @@ class TestGracefulDrain:
             assert len(store) >= 1
         finally:
             store.close()
+
+    def test_portfolio_race_with_worker_processes_keeps_serving(self):
+        """``repro serve --jobs 2`` races the GHD portfolio in forked
+        workers and terminates the losers; that must neither drain nor stop
+        the server (the workers once inherited its SIGTERM handling)."""
+        proc, port = _serve_process("--jobs", "2")
+        try:
+            with ServiceClient(port=port, timeout=60.0) as client:
+                answer = client.portfolio(clique_hypergraph(7), 3)
+                assert answer["verdict"] == "no"
+                assert client.healthz()["status"] == "ok"
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        with proc.stdout:
+            output = proc.stdout.read()
+        assert output.count("draining") == 1, output  # only the test's own
+
+    def test_sigterm_with_idle_keepalive_connection_logs_no_traceback(self):
+        """A drain with an idle keep-alive connection open exits 0 and
+        leaves no asyncio "Exception in callback" traceback behind."""
+        proc, port = _serve_process()
+        try:
+            with ServiceClient(port=port) as idle:
+                assert idle.healthz()["status"] == "ok"  # connection now idle
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        with proc.stdout:
+            output = proc.stdout.read()
+        assert "drained 0/0 in-flight waves" in output, output
+        assert "Exception in callback" not in output, output
+
+    def test_connection_cancelled_while_closing_ends_quietly(self):
+        """Teardown can cancel a connection task a second time while it
+        already awaits ``writer.wait_closed()`` (a client hanging up as the
+        loop shuts down).  The task must still end cleanly: a task that
+        ends cancelled makes asyncio's streams callback report a spurious
+        "Exception in callback" through the loop's exception handler."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            reported: list[dict] = []
+            loop.set_exception_handler(lambda _loop, context: reported.append(context))
+            engine = DecompositionEngine()
+            scheduler = BatchScheduler(engine)
+            server = DecompositionServer(scheduler)
+            await server.start()
+            known = asyncio.all_tasks()
+            _reader, writer = await asyncio.open_connection(server.host, server.port)
+            while not asyncio.all_tasks() - known:
+                await asyncio.sleep(0.001)
+            (task,) = asyncio.all_tasks() - known
+            task.cancel()  # the idle connection's first cancellation ...
+            while not task.done() and not _awaits(task, "wait_closed"):
+                await asyncio.sleep(0)
+            task.cancel()  # ... and a second one while it closes
+            await asyncio.wait({task}, timeout=5)
+            writer.close()
+            await server.stop(close_engine=True)
+            await asyncio.sleep(0.01)  # let the streams done-callback run
+            return task, reported
+
+        task, reported = asyncio.run(main())
+        assert task.done() and not task.cancelled()
+        assert [c["message"] for c in reported] == []
+
+
+def _awaits(task: asyncio.Task, name: str) -> bool:
+    """Whether ``task`` is suspended inside a coroutine called ``name``."""
+    coro = task.get_coro()
+    while coro is not None:
+        if getattr(coro, "cr_code", None) is not None and coro.cr_code.co_name == name:
+            return True
+        coro = getattr(coro, "cr_await", None)
+    return False

@@ -16,13 +16,13 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.components import components, is_balanced_separator, vertices_of
-from repro.core.covers import fractional_cover
+from repro.core.covers import fractional_cover, fractional_cover_bounds
 from repro.core.hypergraph import Hypergraph
 from repro.core.properties import intersection_size, multi_intersection_size
 from repro.core.subedges import subedge_family
 from repro.decomp.balsep import check_ghd_balsep
 from repro.decomp.detkdecomp import check_hd
-from repro.decomp.fractional import improve_hd
+from repro.decomp.fractional import FRACTIONAL_TOLERANCE, _BagWeightCache, improve_hd
 from repro.decomp.localbip import check_ghd_local_bip
 from repro.relational.relation import Relation
 
@@ -89,6 +89,20 @@ def test_fractional_cover_is_feasible_and_bounded(h: Hypergraph):
     assert all(t >= 1.0 - 1e-6 for t in totals.values())
     # Bounded by the integral optimum (picking all edges works).
     assert cover.weight <= len(h.edges) + 1e-9
+
+
+@given(h=hypergraphs(), bag_seed=st.frozensets(vertex_names, max_size=6))
+@SETTINGS
+def test_cover_bounds_bracket_the_lp_and_decide_like_it(h: Hypergraph, bag_seed):
+    bag = frozenset(bag_seed & h.vertices)
+    weight = fractional_cover(h.edges, bag).weight
+    lo, hi = fractional_cover_bounds(h.edges, bag)
+    assert lo - 1e-9 <= weight <= hi + 1e-9
+    cache = _BagWeightCache(h)
+    for threshold in (1, 1.25, 1.5, 2, 2.5, 3):
+        assert cache.admits(bag, threshold) == (
+            weight <= threshold + FRACTIONAL_TOLERANCE
+        )
 
 
 # ------------------------------------------------------------------- subedges
